@@ -26,6 +26,7 @@ let of_intervals l =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> normalize_sorted
 
+let of_sorted_intervals l = normalize_sorted (List.filter (fun (lo, hi) -> lo <= hi) l)
 let of_list xs = of_intervals (List.map (fun x -> (x, x)) xs)
 let is_empty t = t = []
 

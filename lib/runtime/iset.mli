@@ -26,6 +26,10 @@ val range : int -> t
     unsorted) inclusive intervals. *)
 val of_intervals : (int * int) list -> t
 
+(** [of_sorted_intervals l] is [of_intervals l] for [l] sorted by lower
+    bound, in linear time (no sort). *)
+val of_sorted_intervals : (int * int) list -> t
+
 (** [of_list xs] builds a set from arbitrary elements. *)
 val of_list : int list -> t
 

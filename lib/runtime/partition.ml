@@ -87,16 +87,75 @@ let by_bounds_strided ?(axis = Flat) is ~dim bounds =
   in
   { parent = is; subsets; disjoint = compute_disjoint subsets; axis }
 
-let by_value_ranges ?(axis = Flat) ~values is ranges =
-  let buckets = Array.map (fun _ -> ref []) ranges in
+let bin dom sets ~lo ~hi =
+  (* Elementary segments of [sets]: segment [k] covers
+     [bnd.(k) .. bnd.(k+1) - 1] and lies in exactly the colors [cols.(k)]. *)
+  let pts =
+    Array.fold_left
+      (fun acc s -> Iset.fold_intervals (fun lo hi acc -> lo :: (hi + 1) :: acc) s acc)
+      [] sets
+  in
+  let bnd = Array.of_list (List.sort_uniq Int.compare pts) in
+  let nseg = max 0 (Array.length bnd - 1) and n = Array.length sets in
+  let cols = Array.make nseg [] in
+  (* Largest [k] with [bnd.(k) <= x], or [-1]. *)
+  let seg_of x =
+    let lo = ref 0 and hi = ref (Array.length bnd - 1) and r = ref (-1) in
+    while !lo <= !hi do
+      let m = (!lo + !hi) / 2 in
+      if bnd.(m) <= x then (
+        r := m;
+        lo := m + 1)
+      else hi := m - 1
+    done;
+    !r
+  in
+  Array.iteri
+    (fun c s ->
+      Iset.iter_intervals
+        (fun lo hi ->
+          for k = seg_of lo to seg_of hi do
+            cols.(k) <- c :: cols.(k)
+          done)
+        s)
+    sets;
+  (* Per color: the open run [first..last] and the closed runs, reversed.
+     Members arrive in increasing order, so runs come out canonical. *)
+  let first = Array.make n 0 and last = Array.make n min_int in
+  let runs = Array.make n [] in
+  let add i c =
+    let l = last.(c) in
+    if l = i - 1 then last.(c) <- i
+    else if l <> i then begin
+      if l <> min_int then runs.(c) <- (first.(c), l) :: runs.(c);
+      first.(c) <- i;
+      last.(c) <- i
+    end
+  in
   Iset.iter
     (fun i ->
-      let v = Region.get values i in
-      Array.iteri
-        (fun c (lo, hi) -> if v >= lo && v <= hi then buckets.(c) := i :: !(buckets.(c)))
-        ranges)
-    is;
-  let subsets = Array.map (fun b -> Iset.of_list !b) buckets in
+      let l = lo i and h = hi i in
+      if l <= h then begin
+        let k = ref (max 0 (seg_of l)) in
+        while !k < nseg && bnd.(!k) <= h do
+          List.iter (add i) cols.(!k);
+          incr k
+        done
+      end)
+    dom;
+  Array.init n (fun c ->
+      let r =
+        if last.(c) = min_int then runs.(c) else (first.(c), last.(c)) :: runs.(c)
+      in
+      Iset.of_sorted_intervals (List.rev r))
+
+let by_value_ranges ?(axis = Flat) ~values is ranges =
+  if not (Iset.subset is values.Region.ispace) then
+    Error.fail Error.Partition_eval
+      "Partition.by_value_ranges: index set leaves region %s" values.Region.name;
+  let v i = values.Region.data.(i) in
+  let sets = Array.map (fun (lo, hi) -> Iset.interval lo hi) ranges in
+  let subsets = bin is sets ~lo:v ~hi:v in
   { parent = is; subsets; disjoint = compute_disjoint subsets; axis }
 
 let union_of_colors t = Iset.union_list (Array.to_list t.subsets)

@@ -54,9 +54,21 @@ val by_bounds_strided : ?axis:axis -> Iset.t -> dim:int -> (int * int) array -> 
 
 (** [by_value_ranges ~values is ranges] colors index [i] of [is] with color
     [c] iff [values.(i)] falls in [ranges.(c)] — the [partitionByValueRanges]
-    operation of Table I, used to bucket [crd] arrays by coordinate value. *)
+    operation of Table I, used to bucket [crd] arrays by coordinate value.
+    One {!bin} pass.  Raises [Error.Error] ([Partition_eval]) when [is] is
+    not a subset of [values]'s index space. *)
 val by_value_ranges :
   ?axis:axis -> values:int Region.t -> Iset.t -> (int * int) array -> t
+
+(** [bin dom sets ~lo ~hi] is, per color [c], the members [i] of [dom] whose
+    query range [lo i .. hi i] meets [sets.(c)]; an empty query range
+    ([hi i < lo i]) meets no color.  The binning scan shared by
+    {!by_value_ranges} and the preimage operators of [Dependent]: one pass
+    over [dom] in increasing order, each element's colors found by binary
+    search over the [B] sorted interval bounds of [sets].  Time
+    O(B log B + |dom| log B + hits + segments spanned by the query ranges);
+    scratch O(B + colors), plus the output runs. *)
+val bin : Iset.t -> Iset.t array -> lo:(int -> int) -> hi:(int -> int) -> Iset.t array
 
 (** [union_of_colors p] is the set of indices covered by some color. *)
 val union_of_colors : t -> Iset.t
