@@ -398,11 +398,12 @@ let run_trace_exports dir =
 
 (* ------------------------------------------------------------------ *)
 (* Leaf throughput: wall-clock of the leaf kernel loop itself, compiled *)
-(* closures vs the reference interpreter vs a hand-written CSR SpMV.    *)
-(* One piece, whole-matrix shard, so nothing but the leaf loop is       *)
-(* timed.  Writes results/leaf_throughput.csv; the CI smoke job checks  *)
-(* the compiled/interp ratio against the ratcheted floor in             *)
-(* bench/leaf_throughput_floor.txt.                                     *)
+(* closures vs the reference interpreter vs a hand-written CSR SpMV,    *)
+(* plus the SpAdd3 merge leaf on both backends.  One piece, whole-      *)
+(* matrix shard, so nothing but the leaf loop is timed.  Writes         *)
+(* results/leaf_throughput.csv; the CI smoke job checks the compiled/   *)
+(* interp ratios against the ratcheted floors in                        *)
+(* bench/leaf_throughput_floor.txt and bench/merge_throughput_floor.txt. *)
 (* ------------------------------------------------------------------ *)
 
 (* Repeat [f] until it has run for >= 0.3 s of wall clock (after one
@@ -459,11 +460,12 @@ let run_leaf_throughput () =
   let prep_c =
     E.Interp.prepare ~backend:E.Compile_leaf.Compiled ~bindings prog
   in
-  let compiled =
-    match List.find_map (fun l -> l) prep_c.E.Interp.pp_leaves with
+  let compiled_of prepared =
+    match List.find_map Fun.id prepared.E.Interp.pp_leaves with
     | Some c -> c
     | None -> failwith "leaf-throughput: no compiled leaf"
   in
+  let compiled = compiled_of prep_c in
   let compiled_run () =
     ignore (E.Compile_leaf.execute compiled ~shard_vals ~rows:None ~col_range:None ())
   in
@@ -473,37 +475,82 @@ let run_leaf_throughput () =
   print_endline
     "=== Leaf throughput (CSR SpMV leaf loop, wall clock, 1 piece) ===";
   Printf.printf "matrix: %d x %d banded, %d nnz\n" n n nnz;
-  let measure name f =
+  (* Rows are (name, rows, nnz, reps, seconds, Mnnz/s). *)
+  let measure ~rows ~nnz name f =
     let reps, secs = time_reps f in
     let mnnz = float_of_int nnz *. float_of_int reps /. secs /. 1e6 in
-    Printf.printf "%-12s %8d reps  %8.3f s  %10.1f Mnnz/s\n%!" name reps secs
+    Printf.printf "%-14s %8d reps  %8.3f s  %10.1f Mnnz/s\n%!" name reps secs
       mnnz;
-    (name, reps, secs, mnnz)
+    (name, rows, nnz, reps, secs, mnnz)
   in
-  let r_interp = measure "interp" interp_run in
-  let r_compiled = measure "compiled" compiled_run in
-  let r_hand = measure "hand-csr" hand_run in
-  let results = [ r_interp; r_compiled; r_hand ] in
-  let rate_of want =
+  let r_interp = measure ~rows:n ~nnz "interp" interp_run in
+  let r_compiled = measure ~rows:n ~nnz "compiled" compiled_run in
+  let r_hand = measure ~rows:n ~nnz "hand-csr" hand_run in
+  let spmv_rows = [ r_interp; r_compiled; r_hand ] in
+  (* SpAdd3 merge leaf: B plus its column-shifted copies C and D (the
+     catalog's SpAdd3 problem), one piece over the whole row set.  Smaller
+     than the SpMV matrix because the interpreter's merge builds its output
+     as lists.  [nnz] counts the stored elements of all three operands. *)
+  let mn = n / 4 in
+  let mb = Synth.banded ~name:"merge-bench" ~n:mn ~band:8 in
+  let mp =
+    Core.Kernels.spadd3_problem ~machine:(S.machine ~kind:Machine.Cpu [| 1 |]) mb
+  in
+  let mbindings = S.bindings mp in
+  let mprog = S.compile ~trace:Spdistal_obs.Trace.null mp in
+  let mprep =
+    E.Interp.prepare ~backend:E.Compile_leaf.Compiled ~bindings:mbindings mprog
+  in
+  let mleaf = leaf_of mprep and mcompiled = compiled_of mprep in
+  let rows = Some (Iset.range mn) in
+  let no_shard _ = Iset.empty in
+  let mnnz =
+    List.fold_left
+      (fun acc t -> acc + Tensor.nnz (E.Operand.find_sparse mbindings t))
+      0 [ "B"; "C"; "D" ]
+  in
+  Printf.printf "SpAdd3 merge: %d x %d banded + 2 shifted copies, %d nnz\n" mn
+    mn mnnz;
+  let r_minterp =
+    measure ~rows:mn ~nnz:mnnz "merge-interp" (fun () ->
+        ignore
+          (E.Leaf.execute ~bindings:mbindings ~leaf:mleaf ~shard_vals:no_shard
+             ~rows ~col_range:None ()))
+  in
+  let r_mcompiled =
+    measure ~rows:mn ~nnz:mnnz "merge-compiled" (fun () ->
+        ignore
+          (E.Compile_leaf.execute mcompiled ~shard_vals:no_shard ~rows
+             ~col_range:None ()))
+  in
+  let merge_rows = [ r_minterp; r_mcompiled ] in
+  let rate_of results want =
     List.find_map
-      (fun (nm, _, _, r) -> if nm = want then Some r else None)
+      (fun (nm, _, _, _, _, r) -> if nm = want then Some r else None)
       results
+    |> Option.get
   in
-  let interp_rate = Option.get (rate_of "interp") in
   (try Unix.mkdir "results" 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let path = "results/leaf_throughput.csv" in
   let oc = open_out path in
   output_string oc "backend,rows,nnz,reps,seconds,mnnz_per_s,speedup_vs_interp\n";
+  (* Each group's speedup is against its own interpreter row. *)
   List.iter
-    (fun (name, reps, secs, mnnz) ->
-      Printf.fprintf oc "%s,%d,%d,%d,%.6f,%.3f,%.3f\n" name n nnz reps secs
-        mnnz (mnnz /. interp_rate))
-    results;
+    (fun (results, base) ->
+      let base_rate = rate_of results base in
+      List.iter
+        (fun (name, rows, nnz, reps, secs, mnnz) ->
+          Printf.fprintf oc "%s,%d,%d,%d,%.6f,%.3f,%.3f\n" name rows nnz reps
+            secs mnnz (mnnz /. base_rate))
+        results)
+    [ (spmv_rows, "interp"); (merge_rows, "merge-interp") ];
   close_out oc;
-  let ratio = Option.get (rate_of "compiled") /. interp_rate in
-  Printf.printf "compiled/interp leaf throughput: %.2fx (CSV: %s)\n%!" ratio
-    path
+  Printf.printf "compiled/interp leaf throughput: %.2fx (CSV: %s)\n%!"
+    (rate_of spmv_rows "compiled" /. rate_of spmv_rows "interp")
+    path;
+  Printf.printf "compiled/interp merge throughput: %.2fx\n%!"
+    (rate_of merge_rows "merge-compiled" /. rate_of merge_rows "merge-interp")
 
 (* ------------------------------------------------------------------ *)
 (* Serving: the multi-tenant front-end under four scenarios — steady   *)

@@ -81,8 +81,12 @@ type mul = {
   m_fast : fast;
 }
 
+(* Merge operands resolved once at compile time into per-operand arrays,
+   so the row loop indexes by operand number instead of walking a list. *)
 type merge = {
-  g_ops : Leaf.merge_op list;
+  g_pos : (int * int) array array;
+  g_crd : int array array;
+  g_vals : Region.F.buf array;
   g_cols : int;
   g_use_workspace : bool;
 }
@@ -128,11 +132,22 @@ let detect_fast ~(plan : Leaf.plan) ~(driver : Tensor.t) =
         Fast_sddmm { c; ccols; d; dcols }
     | _ -> Generic
 
+let compile_merge ~ops ~cols ~use_workspace =
+  let ops = Array.of_list ops in
+  C_merge
+    {
+      g_pos = Array.map (fun ((pos, _, _) : Leaf.merge_op) -> pos) ops;
+      g_crd = Array.map (fun ((_, crd, _) : Leaf.merge_op) -> crd) ops;
+      g_vals = Array.map (fun ((_, _, vals) : Leaf.merge_op) -> vals) ops;
+      g_cols = cols;
+      g_use_workspace = use_workspace;
+    }
+
 let compile ~bindings (leaf : Loop_ir.leaf) =
   match leaf.Loop_ir.driver with
   | Loop_ir.Merge_driver tensors ->
       let ops, cols = Leaf.merge_ops ~bindings ~tensors in
-      C_merge { g_ops = ops; g_cols = cols; g_use_workspace = leaf.Loop_ir.use_workspace }
+      compile_merge ~ops ~cols ~use_workspace:leaf.Loop_ir.use_workspace
   | Loop_ir.Sparse_driver driver_name ->
       let plan = Leaf.plan_mul ~bindings ~leaf ~driver_name in
       let driver = Operand.find_sparse bindings driver_name in
@@ -470,6 +485,168 @@ let run_sddmm (m : mul) ~shard ~c ~ccols ~d ~dcols =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Additive merge (SpAdd3): two-pass assembly                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Two passes over the piece's rows (§V-B assembly): the count pass runs
+   the merge without values to size every row exactly, the fill pass runs
+   it again writing crd/vals in place into arrays of that size.  The merge
+   walks per-operand cursors kept in flat [cur]/[hi] arrays; the workspace
+   variant marks touched columns in a [bool] array.  Emission order and
+   float summation order (operand order, then position order, from 0.) are
+   the interpreter's ({!Leaf.merge_core}), so outputs are bit-identical.
+   Sums live in local float refs and go straight into a float array: no
+   float crosses a closure, so nothing is boxed. *)
+
+(* Load row [r]'s operand ranges into the cursors; returns the row's
+   stored-element count. *)
+let load_row (g : merge) ~cur ~hi r =
+  let n = ref 0 in
+  for o = 0 to Array.length g.g_pos - 1 do
+    let lo, h = g.g_pos.(o).(r) in
+    cur.(o) <- lo;
+    hi.(o) <- h;
+    if h >= lo then n := !n + (h - lo + 1)
+  done;
+  !n
+
+(* k-way merge of the loaded row.  Returns the number of output entries;
+   when [fill], also writes them at [base..] of [crd_out]/[vals_out]. *)
+let merge_row (g : merge) ~cur ~hi ~fill ~crd_out ~vals_out base =
+  let k = Array.length g.g_pos in
+  let crds = g.g_crd and valss = g.g_vals in
+  let m = ref max_int in
+  for o = 0 to k - 1 do
+    let c = Array.unsafe_get cur o in
+    if c <= Array.unsafe_get hi o then begin
+      let v = (Array.unsafe_get crds o).(c) in
+      if v < !m then m := v
+    end
+  done;
+  let w = ref base in
+  while !m < max_int do
+    let col = !m in
+    let sum = ref 0. in
+    m := max_int;
+    for o = 0 to k - 1 do
+      let crd = Array.unsafe_get crds o in
+      let h = Array.unsafe_get hi o in
+      let c = ref (Array.unsafe_get cur o) in
+      if fill then begin
+        let vals = Array.unsafe_get valss o in
+        while !c <= h && crd.(!c) = col do
+          sum := !sum +. A1.unsafe_get vals !c;
+          incr c
+        done
+      end
+      else
+        while !c <= h && crd.(!c) = col do
+          incr c
+        done;
+      Array.unsafe_set cur o !c;
+      if !c <= h then begin
+        let v = crd.(!c) in
+        if v < !m then m := v
+      end
+    done;
+    if fill then begin
+      crd_out.(!w) <- col;
+      vals_out.(!w) <- !sum
+    end;
+    incr w
+  done;
+  !w - base
+
+(* Workspace strategy: scatter the row's operands into a dense accumulator
+   [ws], marking touched columns in [touched].  The count pass marks and
+   unmarks; the fill pass stacks the touched columns into the output crd
+   slice, sorts it, then gathers and clears the accumulator. *)
+let workspace_row (g : merge) ~cur ~hi ~touched ~ws ~fill ~crd_out ~vals_out
+    base =
+  let k = Array.length g.g_pos in
+  let n = ref 0 in
+  for o = 0 to k - 1 do
+    let crd = g.g_crd.(o) and vals = g.g_vals.(o) in
+    for p = cur.(o) to hi.(o) do
+      let j = crd.(p) in
+      if not touched.(j) then begin
+        touched.(j) <- true;
+        if fill then crd_out.(base + !n) <- j;
+        incr n
+      end;
+      if fill then ws.(j) <- ws.(j) +. A1.unsafe_get vals p
+    done
+  done;
+  if fill then begin
+    let cols = Array.sub crd_out base !n in
+    Array.sort Int.compare cols;
+    Array.blit cols 0 crd_out base !n;
+    for q = base to base + !n - 1 do
+      let j = crd_out.(q) in
+      vals_out.(q) <- ws.(j);
+      ws.(j) <- 0.;
+      touched.(j) <- false
+    done
+  end
+  else
+    for o = 0 to k - 1 do
+      let crd = g.g_crd.(o) in
+      for p = cur.(o) to hi.(o) do
+        touched.(crd.(p)) <- false
+      done
+    done;
+  !n
+
+let run_merge (g : merge) ~rows =
+  let nrows = Iset.cardinal rows in
+  let k = Array.length g.g_pos in
+  let cur = Array.make k 0 and hi = Array.make k 0 in
+  let ws_on = g.g_use_workspace in
+  let touched = if ws_on then Array.make g.g_cols false else [||] in
+  let ws = if ws_on then Array.make g.g_cols 0. else [||] in
+  let row ~fill ~crd_out ~vals_out base =
+    if ws_on then workspace_row g ~cur ~hi ~touched ~ws ~fill ~crd_out ~vals_out base
+    else merge_row g ~cur ~hi ~fill ~crd_out ~vals_out base
+  in
+  (* Count pass: exact per-row output sizes and the stored-element total. *)
+  let mrows = Array.make nrows 0 and mcounts = Array.make nrows 0 in
+  let i = ref 0 and nel = ref 0 and total = ref 0 in
+  Iset.iter_intervals
+    (fun rlo rhi ->
+      for r = rlo to rhi do
+        nel := !nel + load_row g ~cur ~hi r;
+        let c = row ~fill:false ~crd_out:[||] ~vals_out:[||] 0 in
+        mrows.(!i) <- r;
+        mcounts.(!i) <- c;
+        total := !total + c;
+        incr i
+      done)
+    rows;
+  (* Fill pass into arrays of exactly the counted size. *)
+  let mcrd = Array.make !total 0 and mvals = Array.create_float !total in
+  let base = ref 0 in
+  for i = 0 to nrows - 1 do
+    ignore (load_row g ~cur ~hi mrows.(i));
+    ignore (row ~fill:true ~crd_out:mcrd ~vals_out:mvals !base);
+    base := !base + mcounts.(i)
+  done;
+  (* The interpreter's work record accumulates small exact integers in
+     floats (1 flop and 16 B per element read, doubled for the merge's
+     compare traffic, 32 B per workspace element, 16 B per output entry),
+     so integer counts reproduce it bit for bit. *)
+  let read = if ws_on then 32 * !nel else 2 * (16 * !nel) in
+  {
+    Leaf.work =
+      {
+        Task.flops = float_of_int !nel;
+        bytes_read = float_of_int read;
+        bytes_written = float_of_int (16 * !total);
+        atomics = false;
+      };
+    partial = Some { Leaf.mrows; mcounts; mcrd; mvals };
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Execution                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -477,9 +654,7 @@ let execute t ~shard_vals ~rows ~col_range () =
   match t with
   | C_merge g -> (
       match rows with
-      | Some r ->
-          Leaf.merge_core ~ops:g.g_ops ~cols:g.g_cols ~rows:r
-            ~use_workspace:g.g_use_workspace
+      | Some r -> run_merge g ~rows:r
       | None -> Error.fail Error.Leaf "merge kernel needs a row set")
   | C_mul m -> (
       let shard = shard_vals m.m_plan.Leaf.pl_driver_name in

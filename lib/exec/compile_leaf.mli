@@ -14,7 +14,19 @@
     work model ({!Leaf.mul_work}) are shared verbatim with the interpreter,
     which remains the differential oracle: outputs, launch records and Cost
     are bit-identical across backends (checked by [spdistal fuzz] and the
-    test suite). *)
+    test suite).
+
+    Additive merges (SpAdd3) compile to a two-pass assembly leaf (paper
+    §V-B).  The operands' pos/crd/vals are resolved into per-operand arrays
+    once; per piece, a count pass runs the k-way merge over flat cursor
+    arrays with [int] compares (or, with a workspace schedule, marks
+    touched columns in a [bool] array) to size every row exactly, and a
+    fill pass writes crd and vals into arrays of that size.  The work
+    record is computed from the integer element and output counts.
+    Emission order and float summation order (operand order, then position
+    order) are those of {!Leaf.merge_core}, the list-based interpreter
+    merge that serves as the oracle, so partials and Cost are
+    bit-identical. *)
 
 open Spdistal_runtime
 
@@ -55,6 +67,11 @@ type t
 (** Specialize one leaf.  Raises {!Spdistal_runtime.Error.Error} on the
     same unsupported shapes as the interpreter ({!Leaf.plan_mul}). *)
 val compile : bindings:Operand.bindings -> Spdistal_ir.Loop_ir.leaf -> t
+
+(** The merge leaf over already-resolved operands ({!Leaf.merge_ops}),
+    as {!compile} builds it for a [Merge_driver] leaf. *)
+val compile_merge :
+  ops:Leaf.merge_op list -> cols:int -> use_workspace:bool -> t
 
 (** Drop-in replacement for {!Leaf.execute} (same piece-shard arguments,
     same {!Leaf.result}, same deferred per-element error semantics). *)

@@ -33,31 +33,31 @@ let color_for ~grid ~pieces part piece =
       piece / !stride mod grid.(d)
 
 let stitch_merge ~bindings ~out_name ~nrows ~ncols partials =
-  (* Per-piece row blocks are disjoint and ordered; concatenate them. *)
+  (* Per-piece row blocks are disjoint and ordered; concatenate them,
+     blitting each piece's crd and writing its values straight into the
+     output's value buffer. *)
   let pos = Array.make nrows (0, -1) in
   let total =
-    List.fold_left
-      (fun acc (p : Leaf.merge_partial) ->
-        acc + Array.fold_left ( + ) 0 p.Leaf.mcounts)
-      0 partials
+    List.fold_left (fun acc (p : Leaf.merge_partial) -> acc + Array.length p.Leaf.mcrd) 0 partials
   in
   let crd = Array.make (max total 1) 0 in
-  let vals = Array.make (max total 1) 0. in
+  let vals = Region.F.create (out_name ^ ".vals") (max total 1) 0. in
+  let vbuf = vals.Region.F.data in
   let cursor = ref 0 in
   List.iter
     (fun (p : Leaf.merge_partial) ->
-      let k = ref 0 in
+      let base = !cursor in
       Array.iteri
         (fun i r ->
           let c = p.Leaf.mcounts.(i) in
           pos.(r) <- (!cursor, !cursor + c - 1);
-          for _ = 1 to c do
-            crd.(!cursor) <- p.Leaf.mcrd.(!k);
-            vals.(!cursor) <- p.Leaf.mvals.(!k);
-            incr cursor;
-            incr k
-          done)
-        p.Leaf.mrows)
+          cursor := !cursor + c)
+        p.Leaf.mrows;
+      let n = !cursor - base in
+      Array.blit p.Leaf.mcrd 0 crd base n;
+      for k = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set vbuf (base + k) (Array.unsafe_get p.Leaf.mvals k)
+      done)
     partials;
   (* Normalize empty rows into monotone empty ranges. *)
   let cur = ref 0 in
@@ -79,7 +79,7 @@ let stitch_merge ~bindings ~out_name ~nrows ~ncols partials =
               crd = Region.of_array (out_name ^ ".crd") crd;
             };
         |];
-      vals = Region.F.of_array (out_name ^ ".vals") vals;
+      vals;
     }
   in
   (Operand.find bindings out_name).Operand.data <- Operand.Sparse t

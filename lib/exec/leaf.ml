@@ -418,9 +418,10 @@ let merge_ops ~bindings ~tensors : merge_op list * int =
   in
   (ops, cols)
 
-(* The merge core is shared by both backends (the compiled backend
-   pre-resolves [ops]; the interpreter resolves them per call), so their
-   outputs and work accounting are identical by construction. *)
+(* The interpreter's merge core: per-row cursor lists, output built as
+   lists.  It is the oracle for the compiled two-pass merge
+   ({!Compile_leaf}), which must reproduce its partials and work record
+   bit for bit. *)
 let merge_core ~(ops : merge_op list) ~cols ~rows ~use_workspace =
   let flops = ref 0. and br = ref 0. and bw = ref 0. in
   let rows_list = ref [] and counts = ref [] in

@@ -86,7 +86,8 @@ type merge_op = (int * int) array * int array * Region.F.buf
 val merge_ops :
   bindings:Operand.bindings -> tensors:string list -> merge_op list * int
 
-(** The k-way merge / workspace core, shared by both backends. *)
+(** The interpreter's k-way merge / workspace core, and the oracle the
+    compiled merge ({!Compile_leaf.compile_merge}) is tested against. *)
 val merge_core :
   ops:merge_op list ->
   cols:int ->

@@ -13,15 +13,17 @@ let stage ~rows ~count =
   { pos; total = !cursor }
 
 let fill st ~row_fill ~name ~dims =
+  (* crd and vals are filled in place at their final size. *)
   let crd = Array.make (max st.total 1) 0 in
-  let vals = Array.make (max st.total 1) 0. in
+  let vals = Region.F.create (name ^ ".vals") (max st.total 1) 0. in
+  let vd = vals.Region.F.data in
   Array.iteri
     (fun r (lo, hi) ->
       let k = ref lo in
       let emit col v =
         if !k > hi then invalid_arg "Assemble.fill: row overflow";
         crd.(!k) <- col;
-        vals.(!k) <- v;
+        Bigarray.Array1.set vd !k v;
         incr k
       in
       row_fill r emit;
@@ -37,10 +39,10 @@ let fill st ~row_fill ~name ~dims =
         Level.Compressed
           {
             pos = Region.of_array (name ^ ".pos") st.pos;
-            crd = Region.of_array (name ^ ".crd") (Array.sub crd 0 (max st.total 1));
+            crd = Region.of_array (name ^ ".crd") crd;
           };
       |];
-    vals = Region.F.of_array (name ^ ".vals") (Array.sub vals 0 (max st.total 1));
+    vals;
   }
 
 let copy_pattern ~name ?levels (src : Tensor.t) =

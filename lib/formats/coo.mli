@@ -17,6 +17,10 @@ val nnz : t -> int
     bounds. *)
 val make : int array -> (int array * float) list -> t
 
+(** [of_arrays dims coords vals] wraps struct-of-arrays storage (no copy),
+    validating arity and bounds like {!make}. *)
+val of_arrays : int array -> int array array -> float array -> t
+
 (** Lexicographic sort (by coordinate tuple) combined with summing duplicate
     coordinates. Drops explicit zeros produced by cancellation only if
     [drop_zeros]. *)

@@ -76,14 +76,26 @@ let of_coo ~name ~formats ?mode_order ?(assume_sorted = false) coo =
             let unique = formats.(k) = Level.Compressed_k in
             let firsts = Array.make !parent_extent (-1) in
             let lasts = Array.make !parent_extent (-1) in
-            let crd_rev = ref [] and count = ref 0 in
+            (* Count the positions first (an entry opens one unless it
+               repeats its predecessor's pair), then fill crd of exactly
+               that size. *)
+            let positions = ref 0 in
+            for i = 0 to n - 1 do
+              if
+                i = 0 || (not unique)
+                || pp.(i) <> pp.(i - 1)
+                || coord i <> coord (i - 1)
+              then incr positions
+            done;
+            let crd = Array.make !positions 0 in
+            let count = ref 0 in
             let cur_parent = ref (-1) and cur_coord = ref (-1) in
             for i = 0 to n - 1 do
               let p = pp.(i) and c = coord i in
               if (not unique) || p <> !cur_parent || c <> !cur_coord then begin
                 let j = !count in
                 incr count;
-                crd_rev := c :: !crd_rev;
+                crd.(j) <- c;
                 if firsts.(p) < 0 then firsts.(p) <- j;
                 lasts.(p) <- j;
                 cur_parent := p;
@@ -91,7 +103,6 @@ let of_coo ~name ~formats ?mode_order ?(assume_sorted = false) coo =
               end;
               pp.(i) <- !count - 1
             done;
-            let crd = Array.of_list (List.rev !crd_rev) in
             (* Normalize empty parents to monotone empty ranges so that
                position lookups can binary search. *)
             let pos = Array.make !parent_extent (0, -1) in
@@ -110,13 +121,15 @@ let of_coo ~name ~formats ?mode_order ?(assume_sorted = false) coo =
                 crd = Region.of_array (name ^ ".crd") crd;
               })
   in
-  let vals = Array.make !parent_extent 0. in
+  let vals = Region.F.create (name ^ ".vals") !parent_extent 0. in
+  let vd = vals.Region.F.data in
   for i = 0 to n - 1 do
-    vals.(pp.(i)) <- vals.(pp.(i)) +. coo.Coo.vals.(i)
+    let q = pp.(i) in
+    Bigarray.Array1.set vd q (Bigarray.Array1.get vd q +. coo.Coo.vals.(i))
   done;
   let dims = Array.make ord 0 in
   Array.iteri (fun k logical -> dims.(logical) <- dims_storage.(k)) mode_order;
-  { name; dims; mode_order; levels; vals = Region.F.of_array (name ^ ".vals") vals }
+  { name; dims; mode_order; levels; vals }
 
 let csr ~name coo =
   of_coo ~name ~formats:[| Level.Dense_k; Level.Compressed_k |] coo
@@ -138,11 +151,14 @@ let coo_matrix ~name coo =
   in
   of_coo ~name ~formats coo
 
-let iter_nnz t f =
+(* [iter_pos t f] calls [f logical_coords leaf_pos] in storage order;
+   callers that read values index the buffer themselves, so no float is
+   passed (and boxed) through [f]. *)
+let iter_pos t f =
   let ord = order t in
   let coords = Array.make ord 0 in
   let rec go k parent_pos =
-    if k = ord then f coords parent_pos (Region.F.get t.vals parent_pos)
+    if k = ord then f coords parent_pos
     else
       match t.levels.(k) with
       | Level.Dense { dim } ->
@@ -162,10 +178,25 @@ let iter_nnz t f =
   in
   if nnz t > 0 then go 0 0
 
+let iter_nnz t f = iter_pos t (fun c p -> f c p (Region.F.get t.vals p))
+
+(* Count the stored values, then fill struct-of-arrays storage of exactly
+   that size. *)
 let to_coo t =
-  let acc = ref [] in
-  iter_nnz t (fun c _ v -> acc := (Array.copy c, v) :: !acc);
-  Coo.make t.dims (List.rev !acc)
+  let ord = order t in
+  let n = ref 0 in
+  iter_pos t (fun _ _ -> incr n);
+  let coords = Array.init ord (fun _ -> Array.make !n 0) in
+  let vals = Array.make !n 0. in
+  let vd = t.vals.Region.F.data in
+  let k = ref 0 in
+  iter_pos t (fun c p ->
+      for d = 0 to ord - 1 do
+        coords.(d).(!k) <- c.(d)
+      done;
+      vals.(!k) <- Bigarray.Array1.get vd p;
+      incr k);
+  Coo.of_arrays t.dims coords vals
 
 let get t coords =
   let ord = order t in

@@ -271,6 +271,106 @@ let prop_random_spadd3 =
            < 1e-9
       end)
 
+(* --- Compiled merge leaf vs the interpreter's merge_core -------------- *)
+
+(* Random merge operands: [k] CSR-shaped (pos, crd, vals) triples over one
+   shape, built directly so rows may be empty, hold duplicate columns, or
+   (unless [sorted]) list their columns out of order.  Columns come either
+   from the whole range (overlapping across operands) or from the
+   operand's own residue class (disjoint).  Rows are a random, generally
+   non-contiguous subset. *)
+let arb_merge_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* k = int_range 1 4 in
+      let* rows = int_range 1 14 in
+      let* cols = int_range 1 14 in
+      let* disjoint = bool in
+      let* sorted = bool in
+      let* use_workspace = bool in
+      let* ops =
+        list_repeat k
+          (list_repeat rows
+             (let* len = frequency [ (1, return 0); (3, int_range 1 6) ] in
+              list_repeat len
+                (pair (int_range 0 (cols - 1))
+                   (oneofl [ 0.; -0.; 1.; -1.; 0.1; 2.25; 1e16; -1e16 ]))))
+      in
+      let* row_mask = list_repeat rows bool in
+      return (k, cols, disjoint, sorted, use_workspace, ops, row_mask))
+  in
+  let print (k, cols, disjoint, sorted, ws, ops, _) =
+    Printf.sprintf "k=%d rows=%d cols=%d disjoint=%b sorted=%b workspace=%b" k
+      (List.length (List.hd ops)) cols disjoint sorted ws
+  in
+  make ~print gen
+
+let merge_ops_of (k, cols, disjoint, sorted, _, ops, _) : Leaf.merge_op list =
+  List.mapi
+    (fun o op_rows ->
+      let rows =
+        List.map
+          (fun entries ->
+            let entries =
+              List.filter_map
+                (fun (j, v) ->
+                  let j = if disjoint then (j / k * k) + o else j in
+                  if j < cols then Some (j, v) else None)
+                entries
+            in
+            if sorted then List.stable_sort (fun (a, _) (b, _) -> compare a b) entries
+            else entries)
+          op_rows
+      in
+      let entries = Array.of_list (List.concat rows) in
+      let cursor = ref 0 in
+      let pos =
+        Array.of_list
+          (List.map
+             (fun r ->
+               let lo = !cursor in
+               cursor := lo + List.length r;
+               (lo, !cursor - 1))
+             rows)
+      in
+      let vals = Bigarray.(Array1.create float64 c_layout (Array.length entries)) in
+      Array.iteri (fun i (_, v) -> vals.{i} <- v) entries;
+      (pos, Array.map fst entries, vals))
+    ops
+
+let bits a = Array.map Int64.bits_of_float a
+
+let work_bits (w : Task.work) =
+  ( Int64.bits_of_float w.Task.flops,
+    Int64.bits_of_float w.Task.bytes_read,
+    Int64.bits_of_float w.Task.bytes_written,
+    w.Task.atomics )
+
+let prop_compiled_merge =
+  Helpers.qtest ~count:400 "compiled merge = Leaf.merge_core" arb_merge_case
+    (fun ((_, cols, _, _, use_workspace, _, row_mask) as case) ->
+      let ops = merge_ops_of case in
+      let rows =
+        Iset.of_list
+          (List.concat (List.mapi (fun r keep -> if keep then [ r ] else []) row_mask))
+      in
+      let want = Leaf.merge_core ~ops ~cols ~rows ~use_workspace in
+      let got =
+        Compile_leaf.execute
+          (Compile_leaf.compile_merge ~ops ~cols ~use_workspace)
+          ~shard_vals:(fun _ -> Iset.empty)
+          ~rows:(Some rows) ~col_range:None ()
+      in
+      match (want.Leaf.partial, got.Leaf.partial) with
+      | Some w, Some g ->
+          w.Leaf.mrows = g.Leaf.mrows
+          && w.Leaf.mcounts = g.Leaf.mcounts
+          && w.Leaf.mcrd = g.Leaf.mcrd
+          && bits w.Leaf.mvals = bits g.Leaf.mvals
+          && work_bits want.Leaf.work = work_bits got.Leaf.work
+      | _ -> false)
+
 (* --- Compiled vs interpreter leaf backends ------------------------------ *)
 
 (* The compiled closures must be indistinguishable from the reference
@@ -353,4 +453,5 @@ let suite =
       test_backend_equivalence_sweep;
     prop_random_spmv;
     prop_random_spadd3;
+    prop_compiled_merge;
   ]

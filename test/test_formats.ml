@@ -220,6 +220,104 @@ let test_assemble_underflow () =
         (Assemble.fill st ~row_fill:(fun _ emit -> emit 0 1.) ~name:"A"
            ~dims:[| 1; 3 |]))
 
+let test_assemble_overflow () =
+  let st = Assemble.stage ~rows:2 ~count:(fun r -> r) in
+  Alcotest.check_raises "overflow detected"
+    (Invalid_argument "Assemble.fill: row overflow") (fun () ->
+      ignore
+        (Assemble.fill st
+           ~row_fill:(fun _ emit ->
+             emit 0 1.;
+             emit 1 2.)
+           ~name:"A" ~dims:[| 2; 3 |]))
+
+(* --- Flat COO conversions vs the list-based reference (Coo_ref) -------- *)
+
+(* Random COO tensors of order 1-3 over small dims (so duplicates are
+   common), with values that cancel to zero, in a storage format valid for
+   the order and a random mode order.  [n = 0] gives empty tensors. *)
+let formats_by_order =
+  [|
+    [||];
+    [| [| Level.Dense_k |]; [| Level.Compressed_k |]; [| Level.Compressed_nonunique_k |] |];
+    Array.of_list (List.map (fun (_, f, _) -> f) matrix_formats);
+    [|
+      [| Level.Dense_k; Level.Compressed_k; Level.Compressed_k |];
+      [| Level.Dense_k; Level.Dense_k; Level.Compressed_k |];
+      [| Level.Compressed_k; Level.Compressed_k; Level.Compressed_k |];
+      [| Level.Compressed_nonunique_k; Level.Singleton_k; Level.Singleton_k |];
+      [| Level.Compressed_k; Level.Dense_k; Level.Compressed_nonunique_k |];
+    |];
+  |]
+
+let arb_coo_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* order = int_range 1 3 in
+      let* dims = array_repeat order (int_range 1 5) in
+      let* n = int_range 0 25 in
+      let* entries =
+        list_repeat n
+          (let* c = array_repeat order (int_range 0 4) in
+           let* v = oneofl [ 0.; 1.; -1.; 0.5; -0.25; 3. ] in
+           return (Array.mapi (fun d x -> x mod dims.(d)) c, v))
+      in
+      let* f = int_range 0 (Array.length formats_by_order.(order) - 1) in
+      let* perm = shuffle_l (List.init order Fun.id) in
+      return (Coo.make dims entries, formats_by_order.(order).(f), Array.of_list perm))
+  in
+  make
+    ~print:(fun (c, _, _) ->
+      Format.asprintf "order %d, %d entries" (Coo.order c) (Coo.nnz c))
+    gen
+
+let coo_repr (c : Coo.t) =
+  (c.Coo.dims, c.Coo.coords, Array.map Int64.bits_of_float c.Coo.vals)
+
+let tensor_repr (t : Tensor.t) =
+  let level = function
+    | Level.Dense { dim } -> (dim, [||], [||])
+    | Level.Compressed { pos; crd } -> (-1, pos.Spdistal_runtime.Region.data, crd.data)
+    | Level.Singleton { crd } -> (-2, [||], crd.Spdistal_runtime.Region.data)
+  in
+  ( t.Tensor.dims,
+    t.Tensor.mode_order,
+    Array.map level t.Tensor.levels,
+    Array.map Int64.bits_of_float (Spdistal_runtime.Region.F.to_array t.Tensor.vals) )
+
+let prop_sort_dedup_ref =
+  Helpers.qtest "Coo.sort_dedup = list-based reference" arb_coo_case
+    (fun (coo, _, _) ->
+      List.for_all
+        (fun drop_zeros ->
+          coo_repr (Coo.sort_dedup ~drop_zeros coo)
+          = coo_repr (Coo_ref.sort_dedup ~drop_zeros coo))
+        [ false; true ])
+
+(* [coo] sorted but not deduplicated: [~assume_sorted:true] then sums
+   duplicates into shared value slots (or rejects them under Singleton). *)
+let sorted_with_duplicates (coo : Coo.t) =
+  let idx = Array.init (Coo.nnz coo) Fun.id in
+  Array.stable_sort (Coo_ref.compare_at coo) idx;
+  {
+    coo with
+    Coo.coords = Array.map (fun c -> Array.map (fun i -> c.(i)) idx) coo.Coo.coords;
+    vals = Array.map (fun i -> coo.Coo.vals.(i)) idx;
+  }
+
+let prop_of_coo_to_coo_ref =
+  Helpers.qtest "Tensor.of_coo / to_coo = list-based reference" arb_coo_case
+    (fun (coo, formats, mode_order) ->
+      let t = Tensor.of_coo ~name:"T" ~formats ~mode_order coo in
+      let r = Coo_ref.of_coo ~name:"T" ~formats ~mode_order coo in
+      let dups = sorted_with_duplicates coo in
+      let presorted f = try Ok (tensor_repr (f ())) with Invalid_argument m -> Error m in
+      tensor_repr t = tensor_repr r
+      && coo_repr (Tensor.to_coo t) = coo_repr (Coo_ref.to_coo t)
+      && presorted (fun () -> Tensor.of_coo ~name:"S" ~formats ~assume_sorted:true dups)
+         = presorted (fun () -> Coo_ref.of_coo ~name:"S" ~formats ~assume_sorted:true dups))
+
 let test_copy_pattern () =
   let b = Helpers.rand_csf 4 5 6 0.2 in
   let a = Assemble.copy_pattern ~name:"A" ~levels:2 b in
@@ -272,6 +370,9 @@ let suite =
     Alcotest.test_case "csr<->csc" `Quick test_convert_csr_csc;
     Alcotest.test_case "two-phase assembly" `Quick test_assemble;
     Alcotest.test_case "assembly underflow" `Quick test_assemble_underflow;
+    Alcotest.test_case "assembly overflow" `Quick test_assemble_overflow;
+    prop_sort_dedup_ref;
+    prop_of_coo_to_coo_ref;
     Alcotest.test_case "copy_pattern" `Quick test_copy_pattern;
     Alcotest.test_case "coordinate tree" `Quick test_coord_tree;
     Alcotest.test_case "dense containers" `Quick test_dense_containers;
