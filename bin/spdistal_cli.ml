@@ -188,15 +188,10 @@ let metrics_out_arg =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:"Write per-launch metrics CSV of the run to $(docv).")
 
-(* Install an ambient trace when any observability output was requested (the
-   run path reaches the interpreter through the baselines' Runner, which
-   takes no explicit trace), and export it afterwards. *)
+(* Record a trace only when some observability output was requested; it is
+   exported afterwards. *)
 let start_trace trace_out metrics_out =
-  if trace_out <> None || metrics_out <> None then begin
-    let t = Trace.create () in
-    Trace.set_default t;
-    t
-  end
+  if trace_out <> None || metrics_out <> None then Trace.create ()
   else Trace.null
 
 let finish_trace t trace_out metrics_out =
@@ -226,7 +221,7 @@ let run_cmd =
     in
     let r =
       Runner.run ~kernel ~system ~machine ~cols ~auto ?iterations
-        ~cache:(not no_cache) b
+        ~cache:(not no_cache) ~trace b
     in
     (match r.Spdistal_baselines.Common.dnc with
     | Some reason -> Printf.printf "DNC: %s\n" reason

@@ -49,8 +49,8 @@ val with_schedule :
   problem -> schedule:Schedule.t -> tdns:(string * Tdn.t) list -> problem
 
 (** Lower the problem to its partitioning-and-compute program (Fig. 9).
-    [trace] (default {!Spdistal_obs.Trace.default}) gets a host-clock
-    "lower" phase span. *)
+    [trace] (default {!Spdistal_obs.Trace.null}) gets a host-clock "lower"
+    phase span. *)
 val compile : ?trace:Spdistal_obs.Trace.t -> problem -> Loop_ir.prog
 
 (** Render the compiled program as paper-style pseudo-code. *)
@@ -80,9 +80,9 @@ type run_result = {
   crashed : int list;
       (** nodes that crashed during a warm-start run (sorted, deduplicated):
           transient crashes recovery absorbed, plus the node whose repeated
-          crashes exhausted recovery when [dnc] is set.  Empty on the legacy
-          single-shot protocol.  A serving front-end uses this to blacklist
-          repeat offenders. *)
+          crashes exhausted recovery when [dnc] is set.  On the single-shot
+          protocol only that exhausting node is reported.  A serving
+          front-end uses this to blacklist repeat offenders. *)
 }
 
 (** Execute one timed iteration: materializes data distributions, runs the
@@ -105,7 +105,7 @@ type run_result = {
     reference interpreter.  Outputs, launch records and cost are
     bit-identical across backends.
 
-    [trace] (default {!Spdistal_obs.Trace.default}) records the whole run:
+    [trace] (default {!Spdistal_obs.Trace.null}) records the whole run:
     compile/placement phase spans on the host clock and every runtime event
     on the simulated clock (see {!Spdistal_exec.Interp.run}).  Tracing never
     changes outputs or cost.
@@ -135,6 +135,19 @@ val run :
 
 (** Simulated seconds, or [None] on DNC. *)
 val time_of : run_result -> float option
+
+(** The cold path every run protocol and the auto-scheduler's pricer share:
+    data placement, lowering ({!compile}), partition materialization and
+    leaf specialization under [backend] ({!Spdistal_exec.Interp.prepare}),
+    with the dependent-partitioning work tallied and priced
+    ({!Spdistal_exec.Cache.partition_seconds}) but not charged.  The result
+    is an uncached entry ([e_key = ""]); [trace] receives the "placement",
+    "lower", "part_eval" and "compile_leaves" phase spans. *)
+val plan :
+  trace:Spdistal_obs.Trace.t ->
+  backend:Compile_leaf.backend ->
+  problem ->
+  Spdistal_exec.Cache.entry
 
 (** Warm-start execution contexts: the cache-carrying handle behind
     [run ?iterations].  Create one per problem and call {!Context.run}

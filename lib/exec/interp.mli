@@ -29,41 +29,6 @@
 
 open Spdistal_runtime
 
-(** [run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults prog]
-    executes [prog].  [domains] caps the OCaml domains used to simulate
-    pieces of one launch concurrently (default
-    {!Spdistal_runtime.Machine.sim_domains}; [<= 1] means sequential).
-
-    [faults] (default {!Spdistal_runtime.Fault.default}, i.e. the CLI
-    override or [SPDISTAL_FAULTS], else disabled) injects a deterministic
-    fault schedule — node crashes, message loss, stragglers — and prices
-    Legion-style recovery into [cost]: leaves still commit exactly once on
-    the reducing domain, so computed tensors are {e bit-identical} to the
-    fault-free run under any schedule; only per-piece times, moved bytes and
-    the recovery counters change.  Recovery exhaustion (a fault recurring
-    past [max_retries], or a crash with no surviving node) raises
-    {!Spdistal_runtime.Error.Error} with the [Recovery] phase.
-
-    [trace] (default {!Spdistal_obs.Trace.default}) receives the run's
-    events: per-launch critical-path spans on the runtime track, per-piece
-    fetch/compute spans (plus UVM paging and fault-recovery instants) on
-    piece tracks, dependent-partitioning and pool-occupancy spans on the
-    host clock, comm-matrix edges and cumulative cost counters.  Tracing
-    never changes computed tensors or [cost] — all emission happens on the
-    reducing domain in piece order.
-
-    [backend] selects the leaf execution backend for this run (default
-    {!Compile_leaf.default_backend}): [Compiled] runs the monomorphized
-    closures from {!Compile_leaf}, [Interp] the reference interpreter in
-    {!Leaf}.  Both are bit-identical in outputs, launch records and Cost.
-    Ignored when [prepared] is given (the prepared value fixes the backend).
-
-    [prepared] supplies a pre-materialized {!prepared} value from
-    {!prepare} (e.g. the execution context's cache), skipping partition
-    evaluation and leaf specialization; [launch_base] offsets the run's
-    launch indices, so iteration [i] of a warm-start run draws the same
-    fault schedule whether or not its partitions came from the cache. *)
-
 (** A prepared program: the partition environment, its distributed loops,
     and — under the compiled backend — one specialized closure per loop
     (aligned with [pp_loops]; [None] entries fall back to the
@@ -75,6 +40,34 @@ type prepared = {
   pp_backend : Compile_leaf.backend;
 }
 
+(** [run ~machine ~bindings ~placement ?memstate ~cost ?domains ?faults
+    ~prepared prog] executes [prog]'s distributed loops over the partitions
+    materialized in [prepared] (from {!prepare}, e.g. through the execution
+    context's cache), with the leaf backend [prepared] was built for.
+    [domains] caps the OCaml domains used to simulate pieces of one launch
+    concurrently (default {!Spdistal_runtime.Machine.sim_domains}; [<= 1]
+    means sequential).
+
+    [faults] (default {!Spdistal_runtime.Fault.default}, i.e. the CLI
+    override or [SPDISTAL_FAULTS], else disabled) injects a deterministic
+    fault schedule — node crashes, message loss, stragglers — and prices
+    Legion-style recovery into [cost]: leaves still commit exactly once on
+    the reducing domain, so computed tensors are {e bit-identical} to the
+    fault-free run under any schedule; only per-piece times, moved bytes and
+    the recovery counters change.  Recovery exhaustion (a fault recurring
+    past [max_retries], or a crash with no surviving node) raises
+    {!Spdistal_runtime.Error.Error} with the [Recovery] phase.
+
+    [trace] (default {!Spdistal_obs.Trace.null}) receives the run's events:
+    per-launch critical-path spans on the runtime track, per-piece
+    fetch/compute spans (plus UVM paging and fault-recovery instants) on
+    piece tracks, pool-occupancy spans on the host clock, comm-matrix edges
+    and cumulative cost counters.  Tracing never changes computed tensors or
+    [cost] — all emission happens on the reducing domain in piece order.
+
+    [launch_base] offsets the run's launch indices, so iteration [i] of a
+    warm-start run draws the same fault schedule whether or not its
+    partitions came from the cache. *)
 val run :
   machine:Machine.t ->
   bindings:Operand.bindings ->
@@ -84,17 +77,17 @@ val run :
   ?domains:int ->
   ?faults:Fault.config ->
   ?trace:Spdistal_obs.Trace.t ->
-  ?backend:Compile_leaf.backend ->
-  ?prepared:prepared ->
+  prepared:prepared ->
   ?launch_base:int ->
   Spdistal_ir.Loop_ir.prog ->
   unit
 
 (** Materialize [prog]'s partitions — and, under the compiled backend
     (default {!Compile_leaf.default_backend}), specialize its leaf loops —
-    without executing its distributed loops: the value [run] accepts via
-    [?prepared].  [trace] (default {!Spdistal_obs.Trace.null}) receives the
-    "part_eval" and "compile_leaves" phase spans. *)
+    without executing its distributed loops: the value [run] takes as
+    [~prepared].  [trace] (default {!Spdistal_obs.Trace.null}) receives the
+    "part_eval" and "compile_leaves" phase spans and the
+    dependent-partitioning operator spans. *)
 val prepare :
   ?trace:Spdistal_obs.Trace.t ->
   ?backend:Compile_leaf.backend ->
@@ -112,9 +105,71 @@ val relink :
   prepared ->
   prepared
 
-(** Partition-evaluation environment of the last [run], for inspection in
-    tests (partitions by name). *)
-val last_env : unit -> Part_eval.env option
+(** {1 The per-launch cost model}
+
+    The pieces [run] charges each distributed launch with, exposed so the
+    auto-scheduler's pricer ({!Spdistal_opt.Price}) charges candidates with
+    the same code: per piece, a {!fetch} of the operands it lacks and a
+    scaled {!leaf_time}; per launch, the {!reduce_output} of aliased
+    output ownership. *)
+
+(** What one run's launches read besides the launch itself: machine,
+    bindings, data placement, the prepared partitions and the launch
+    grid. *)
+type launch_env
+
+(** Raises {!Spdistal_runtime.Error.Error} ([Config]) when [prog] was
+    lowered for a different machine size. *)
+val launch_env :
+  machine:Machine.t ->
+  bindings:Operand.bindings ->
+  placement:Placement.t ->
+  prepared ->
+  Spdistal_ir.Loop_ir.prog ->
+  launch_env
+
+(** [subset env pname piece] is the subset of the prepared partition
+    [pname] that piece [piece] selects (see {!color_for}). *)
+val subset : launch_env -> string -> int -> Iset.t
+
+(** Inclusive output-column block of piece [c] under a [col_split > 1]
+    leaf (the grid's second dimension splits the output's last dimension);
+    [None] otherwise. *)
+val col_range : launch_env -> Spdistal_ir.Loop_ir.leaf -> int -> (int * int) option
+
+(** One piece's fetch of the operands its launch communicates. *)
+type fetch = {
+  f_time : float;  (** data movement into the piece, before paging *)
+  f_footprint : float;  (** bytes the piece must hold resident *)
+  f_msg_bytes : float list;  (** per-message byte counts, in issue order *)
+  f_edges : (int * float) list;
+      (** (source node, bytes) attribution of the piece's transfers, in
+          issue order; only populated when [trace] is enabled *)
+}
+
+(** [fetch env ~trace comms piece]: broadcasts of whole operands the data
+    distribution does not replicate, and point-to-point transfers of the
+    parts of each communicated partition the piece does not hold. *)
+val fetch :
+  launch_env -> trace:Spdistal_obs.Trace.t -> Spdistal_ir.Loop_ir.comm list -> int -> fetch
+
+(** Simulated seconds of one piece's leaf doing [work]: {!Task.leaf_time},
+    scaled on CPUs by the core count for a serial leaf and by Legion's
+    leaf efficiency for a parallel one. *)
+val leaf_time : Machine.t -> Spdistal_ir.Loop_ir.leaf -> Task.work -> float
+
+(** Charge [cost] for reducing a launch's aliased output ownership
+    ([out_comm]): the overlap between pieces' output subsets is shipped home
+    in one reduction.  [launch] and [kernel] label the trace's reduce
+    span. *)
+val reduce_output :
+  launch_env ->
+  trace:Spdistal_obs.Trace.t ->
+  cost:Cost.t ->
+  launch:int ->
+  kernel:string ->
+  Spdistal_ir.Loop_ir.comm option ->
+  unit
 
 (** Color of [part] selected by piece [piece] on [grid] (exposed for tests).
     Dispatches on the partition's {!Spdistal_runtime.Partition.axis}: [Flat]

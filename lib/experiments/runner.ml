@@ -81,10 +81,10 @@ let problem_for ~kernel ~machine ~cols ?(batched = false) b =
   | Mttkrp -> K.mttkrp_problem ~machine ~cols ~nonzero_dist:gpu b
 
 let run_spdistal ~kernel ~machine ~cols ?(batched = false) ?(auto = false)
-    ?iterations ?(cache = true) b =
+    ?iterations ?(cache = true) ?trace b =
   let problem = problem_for ~kernel ~machine ~cols ~batched b in
   let problem = if auto then Spdistal_opt.Auto.schedule problem else problem in
-  of_spdistal (S.run ?iterations ~cache problem)
+  of_spdistal (S.run ?iterations ~cache ?trace problem)
 
 (* Baseline systems have no partition cache: an N-iteration solve re-pays
    the full launch (scatter + compute) every iteration, so the simulated
@@ -95,9 +95,10 @@ let scale_iterations iterations (r : Common.result) =
   | _ -> r
 
 let run ~kernel ~system ~machine ?(cols = 32) ?(auto = false) ?iterations
-    ?(cache = true) b =
+    ?(cache = true) ?trace b =
   match system with
-  | Spdistal -> run_spdistal ~kernel ~machine ~cols ~auto ?iterations ~cache b
+  | Spdistal ->
+      run_spdistal ~kernel ~machine ~cols ~auto ?iterations ~cache ?trace b
   | Spdistal_cpu_leaf ->
       (* SpDISTAL's CPU kernel on the same number of nodes (paper Fig. 11/12
          compare against "SpDISTAL's CPU kernel using all the resources on a
@@ -108,12 +109,12 @@ let run ~kernel ~system ~machine ?(cols = 32) ?(auto = false) ?iterations
         | Machine.Gpu -> Machine.nodes machine
       in
       run_spdistal ~kernel ~machine:(cpu_machine ~nodes) ~cols ~auto
-        ?iterations ~cache b
+        ?iterations ~cache ?trace b
   | Spdistal_batched ->
       if kernel <> Spmm then Common.dnc "batched schedule is SpMM-only"
       else
         run_spdistal ~kernel ~machine ~cols ~batched:true ~auto ?iterations
-          ~cache b
+          ~cache ?trace b
   | Petsc ->
       scale_iterations iterations
       @@ (

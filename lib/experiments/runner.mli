@@ -56,7 +56,10 @@ val problem_for :
     systems run through the warm-start execution context (partitions are
     computed on the first iteration and cached; [cache:false] rebuilds them
     every iteration), while baseline systems re-pay their full launch each
-    iteration, so their time scales linearly. *)
+    iteration, so their time scales linearly.
+
+    [trace] (default {!Spdistal_obs.Trace.null}) records SpDISTAL systems'
+    runs (see {!Core.Spdistal.run}); baselines emit nothing. *)
 val run :
   kernel:kernel ->
   system:system ->
@@ -65,6 +68,7 @@ val run :
   ?auto:bool ->
   ?iterations:int ->
   ?cache:bool ->
+  ?trace:Spdistal_obs.Trace.t ->
   Tensor.t ->
   Spdistal_baselines.Common.result
 

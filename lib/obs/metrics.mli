@@ -37,9 +37,9 @@ val enabled : t -> bool
 
 (** {1 Ambient default}
 
-    Mirrors [Trace.default]/[Fault.default]: the CLI installs a registry for
-    the whole process; instrumented libraries write to this.  The initial
-    default is {!null}. *)
+    Mirrors [Fault.default]: the CLI installs a registry for the whole
+    process; instrumented libraries write to this.  The initial default is
+    {!null}. *)
 
 val default : unit -> t
 

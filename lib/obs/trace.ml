@@ -55,10 +55,6 @@ let null =
 
 let enabled t = t.on
 
-let default_trace = ref null
-let default () = !default_trace
-let set_default t = default_trace := t
-
 let now t = if t.on then Unix.gettimeofday () -. t.epoch else 0.
 let epoch t = t.epoch
 

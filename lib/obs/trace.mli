@@ -65,16 +65,6 @@ val null : t
 
 val enabled : t -> bool
 
-(** {1 Ambient default}
-
-    Mirrors [Fault.default]/[Machine.sim_domains]: the CLI installs a trace
-    for the whole process; library entry points take [?trace] and fall back
-    to this.  The initial default is {!null}. *)
-
-val default : unit -> t
-
-val set_default : t -> unit
-
 (** {1 Emission} *)
 
 (** Wall-clock seconds since the trace's epoch (0. on a disabled trace). *)

@@ -103,11 +103,11 @@ let test_never_worse_than_hand () =
       | Error e -> Alcotest.failf "%s: naive did not price: %s" name e)
     (all_kernels ())
 
-(* A priced candidate's partitioning bill is bit-equal to the partitioning
-   cost a cold run of the same schedule records — pricing runs the same
-   placement/compile/materialize pipeline and charges the same
-   [Cache.partition_seconds]. *)
-let test_partitioning_matches_cold_run () =
+(* A priced candidate's partitioning bill, moved bytes, messages and
+   launches equal what a cold fault-free run of the same schedule records —
+   pricing builds with the same [Spdistal.plan] and charges communication
+   with [Interp]'s own launch model. *)
+let test_priced_model_matches_cold_run () =
   List.iter
     (fun (name, make) ->
       let priced =
@@ -118,16 +118,32 @@ let test_partitioning_matches_cold_run () =
       (* [~iterations:1] = the warm-start protocol on a fresh context — the
          only path that bills dependent partitioning. *)
       let cold =
-        let r = Spdistal.run ~leaf_backend:CL.Interp ~iterations:1 (make ()) in
+        let r =
+          Spdistal.run ~leaf_backend:CL.Interp ~faults:Fault.disabled
+            ~iterations:1 (make ())
+        in
         (match r.Spdistal.dnc with
         | Some reason -> Alcotest.fail reason
         | None -> ());
-        r
+        r.Spdistal.cost
       in
-      Alcotest.(check int64)
-        (name ^ ": priced partitioning bit-equals cold run")
-        (Int64.bits_of_float cold.Spdistal.cost.Cost.partitioning)
-        (Int64.bits_of_float priced.Price.pr_cost.Cost.partitioning))
+      let pc = priced.Price.pr_cost in
+      let bits what f =
+        Alcotest.(check int64)
+          (Printf.sprintf "%s: priced %s bit-equals cold run" name what)
+          (Int64.bits_of_float (f cold))
+          (Int64.bits_of_float (f pc))
+      in
+      bits "partitioning" (fun c -> c.Cost.partitioning);
+      (* Not the [comm] column: it is the critical path minus the leaf
+         maximum, and the pricer estimates leaf times. *)
+      bits "bytes moved" (fun c -> c.Cost.bytes_moved);
+      Alcotest.(check int)
+        (name ^ ": priced messages equal cold run")
+        cold.Cost.messages pc.Cost.messages;
+      Alcotest.(check int)
+        (name ^ ": priced launches equal cold run")
+        cold.Cost.launches pc.Cost.launches)
     (all_kernels ())
 
 (* qcheck: over random sparse matrices, the chosen schedule never prices
@@ -201,8 +217,8 @@ let suite =
       test_faulty_matches_fault_free;
     Alcotest.test_case "winner <= hand, < naive" `Quick
       test_never_worse_than_hand;
-    Alcotest.test_case "priced partitioning == cold run" `Quick
-      test_partitioning_matches_cold_run;
+    Alcotest.test_case "priced partitioning and comm == cold run" `Quick
+      test_priced_model_matches_cold_run;
     prop_price_le_naive;
     Alcotest.test_case "winner cache replays" `Quick test_winner_cache_replays;
     Alcotest.test_case "winner cache keyed by pattern" `Quick
