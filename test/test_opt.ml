@@ -217,7 +217,7 @@ let suite =
       test_faulty_matches_fault_free;
     Alcotest.test_case "winner <= hand, < naive" `Quick
       test_never_worse_than_hand;
-    Alcotest.test_case "priced partitioning and comm == cold run" `Quick
+    Alcotest.test_case "priced partitioning == cold run" `Quick
       test_priced_model_matches_cold_run;
     prop_price_le_naive;
     Alcotest.test_case "winner cache replays" `Quick test_winner_cache_replays;
